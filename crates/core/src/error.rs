@@ -30,6 +30,12 @@ pub enum SchedError {
         /// The out-of-range position.
         pos: u32,
     },
+    /// Admitting a batch would overflow a `u64` packet counter. The whole
+    /// batch is rejected and nothing changes.
+    PacketCountOverflow {
+        /// The flow whose packets no longer fit.
+        flow: FlowId,
+    },
     /// The traffic source does not support chained (multi-hop-per-
     /// configuration) movement.
     ChainedUnsupported,
@@ -62,6 +68,10 @@ impl fmt::Display for SchedError {
                     "sub-flow of {flow} admitted at position {pos} beyond its route"
                 )
             }
+            SchedError::PacketCountOverflow { flow } => write!(
+                f,
+                "admitting the packets of {flow} would overflow a packet counter"
+            ),
             SchedError::ChainedUnsupported => {
                 write!(f, "this traffic source does not support chained movement")
             }

@@ -47,6 +47,7 @@ use crate::SchedError;
 use octopus_net::NodeId;
 use octopus_traffic::{FlowId, HopWeighting, Route, TrafficLoad, Weight};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// One waiting packet group as seen by a link queue: weight, flow ID (the
 /// tie-breaker), flow index, route position, packet count.
@@ -596,7 +597,9 @@ impl RemainingTraffic {
     ///
     /// # Errors
     /// [`SchedError::PositionBeyondRoute`] if any entry's position is at or
-    /// past its route's end; the plan is untouched on error.
+    /// past its route's end, [`SchedError::PacketCountOverflow`] if the
+    /// batch would overflow the plan's packet total; the plan is untouched
+    /// on error.
     // lint:allow(hot-alloc) — amortized: runs once per admission batch, not per scheduling window
     pub fn admit_subflows(
         &mut self,
@@ -607,11 +610,16 @@ impl RemainingTraffic {
             .filter(|&(_, _, _, count)| count > 0)
             .collect();
         // Validate everything before mutating anything: an error mid-batch
-        // must not leave a half-admitted plan.
-        for &(id, ref route, pos, _) in &incoming {
+        // must not leave a half-admitted plan. Every per-link and per-row
+        // count is part of the total, so a total that fits bounds them all.
+        let mut total = self.total;
+        for &(id, ref route, pos, count) in &incoming {
             if pos >= route.hops() {
                 return Err(SchedError::PositionBeyondRoute { flow: id, pos });
             }
+            total = total
+                .checked_add(count)
+                .ok_or(SchedError::PacketCountOverflow { flow: id })?;
         }
         if incoming.is_empty() {
             return Ok(Vec::new());
@@ -644,8 +652,8 @@ impl RemainingTraffic {
                 }
             };
             staged.push((fi, pos, count));
-            self.total += count;
         }
+        self.total = total;
         self.intern_new_links(fresh_keys);
         for fi in first_new..self.flows.len() {
             let link_off = self.flow_links.len() as u32;
@@ -854,6 +862,37 @@ impl<'a> LinkQueueRef<'a> {
         }
     }
 
+    /// Raises `row_max[k]` and `col_max[k]` to `g(alphas[k] + bonus)` where
+    /// that is larger — the merge walk of [`LinkQueueRef::g_multi`] (same
+    /// class index per α, same arithmetic, so the same bits) folded straight
+    /// into the sweep's bound maxima instead of an output row. Every α past
+    /// the last class takes the queue's total weight, a branch-free tail.
+    fn fold_maxima(&self, alphas: &[u64], bonus: u64, row_max: &mut [f64], col_max: &mut [f64]) {
+        let raise = |m: &mut f64, g: f64| {
+            if g > *m {
+                *m = g;
+            }
+        };
+        // g(0) = 0.0 never raises a maximum (they start at +0.0).
+        let mut k = alphas.partition_point(|&a| a + bonus == 0);
+        let (mut below_count, mut below_weight) = (0u64, 0.0f64);
+        for (c, (&upper, &(w, _))) in self.prefix_counts.iter().zip(self.classes).enumerate() {
+            while k < alphas.len() && alphas[k] + bonus <= upper {
+                let g = below_weight + (alphas[k] + bonus - below_count) as f64 * w;
+                raise(&mut row_max[k], g);
+                raise(&mut col_max[k], g);
+                k += 1;
+            }
+            below_count = upper;
+            below_weight = self.prefix_weights[c];
+        }
+        let total = *self.prefix_weights.last().unwrap_or(&0.0);
+        for (r, c) in row_max[k..].iter_mut().zip(&mut col_max[k..]) {
+            raise(r, total);
+            raise(c, total);
+        }
+    }
+
     /// Total packets waiting on this link.
     pub fn total_packets(&self) -> u64 {
         *self.prefix_counts.last().unwrap_or(&0)
@@ -1048,6 +1087,22 @@ impl LinkQueues {
         );
         self.links.push(link);
         self.spans.push((self.classes.len() as u32, 0));
+    }
+
+    /// Appends a copy of another snapshot's non-empty span, prefix sums
+    /// included, so `g` on the copy reads the very same numbers.
+    fn push_span_copy(&mut self, link: (u32, u32), q: LinkQueueRef<'_>) {
+        debug_assert!(
+            !self.links.last().is_some_and(|&l| l >= link),
+            "links must be appended in ascending order"
+        );
+        let off = self.classes.len() as u32;
+        self.classes.extend_from_slice(q.classes);
+        self.prefix_counts.extend_from_slice(q.prefix_counts);
+        self.prefix_weights.extend_from_slice(q.prefix_weights);
+        self.links.push(link);
+        self.spans.push((off, q.classes.len() as u32));
+        self.live += q.classes.len();
     }
 
     /// Pre-interns `keys` into the CSR index ahead of a patch storm: absent
@@ -1328,12 +1383,12 @@ impl LinkQueues {
         rs.min(cs)
     }
 
-    /// Batched form of [`LinkQueues::weighted_edges`]: evaluates `g(i, j, α)`
-    /// for every non-empty link and every α of an **ascending** candidate
-    /// list in one merge-walk pass per link ([`LinkQueueRef::g_multi`]),
-    /// producing a fixed edge topology plus one weight column per α — the
-    /// shape [`octopus_matching::AssignmentSolver`] re-solves without
-    /// rebuilding. Per-α matching upper bounds ride along in the same pass.
+    /// Batched form of [`LinkQueues::weighted_edges`] over an **ascending**
+    /// candidate list: one fixed edge topology (every non-empty link) shared
+    /// by all candidate αs, the per-α matching-weight upper bounds, and a
+    /// weight column per α that is built only when first read
+    /// ([`MultiAlphaEdges`]) — the shape
+    /// [`octopus_matching::AssignmentSolver`] re-solves without rebuilding.
     pub fn weighted_edges_multi(&self, alphas: &[u64]) -> MultiAlphaEdges {
         self.weighted_edges_multi_with(alphas, |_| 0)
     }
@@ -1342,7 +1397,18 @@ impl LinkQueues {
     /// `(i, j)` is evaluated at `α + extra((i, j))` for every candidate α.
     /// Used by the localized-reconfiguration extension, where links kept from
     /// the previous configuration also serve during the Δ transition.
-    // lint:allow(hot-alloc) — amortized: CSR edge arrays sized once per sweep and shared by all α extractions in it
+    ///
+    /// The sweep is one bound-only merge walk: each link's `g` values over
+    /// the candidates (the [`LinkQueueRef::g_multi`] walk) are folded into
+    /// per-candidate row maxima (links are source-sorted, so one `A`-long
+    /// buffer holds the current source node's) and node-major `n × A`
+    /// column maxima, and then dropped. Both maxima are summed in node order `0..n`, exactly as
+    /// [`LinkQueues::matching_weight_upper_bound`] sums its dense arrays, so
+    /// every bound keeps its bits. No links × candidates matrix is ever
+    /// stored: besides the `O(n·A)` scratch, the sweep keeps only a
+    /// live-slot copy of the link queues (`O(L)`), from which
+    /// [`MultiAlphaEdges::column`] derives a column on demand.
+    // lint:allow(hot-alloc) — amortized: one O(L) queue copy and O(n·A) bound scratch per sweep, shared by every candidate α of the search
     pub fn weighted_edges_multi_with(
         &self,
         alphas: &[u64],
@@ -1352,65 +1418,87 @@ impl LinkQueues {
             alphas.windows(2).all(|w| w[0] <= w[1]),
             "alphas must be ascending"
         );
-        let ne = self.live_indices().count();
-        let k = alphas.len();
+        let a = alphas.len();
         let n = self.n as usize;
-        let mut edges = Vec::with_capacity(ne);
-        let mut weights = vec![0.0f64; k * ne];
-        let mut row = vec![0.0f64; k];
-        let mut shifted: Vec<u64> = Vec::with_capacity(k);
-        for (e, idx) in self.live_indices().enumerate() {
+        let ne = self.live_indices().count();
+        let mut queues = LinkQueues::with_capacity(self.n, ne, self.live);
+        let mut bonus = Vec::new();
+        // `Iterator::sum`'s own start value, so the node-order sums below
+        // reproduce a plain `sum()` over the dense maxima bit for bit.
+        let start: f64 = std::iter::empty::<f64>().sum();
+        let mut row_max = vec![0.0f64; a];
+        let mut row_sum = vec![start; a];
+        let mut col_max = vec![0.0f64; n * a];
+        let mut node = 0u32;
+        for idx in self.live_indices() {
             let (i, j) = self.links[idx];
-            edges.push((i, j));
             debug_assert!(i < self.n && j < self.n, "link ({i}, {j}) out of fabric");
             let q = self.view_at(idx);
-            let bonus = extra((i, j));
-            if bonus == 0 {
-                q.g_multi(alphas, &mut row);
-            } else {
-                shifted.clear();
-                shifted.extend(alphas.iter().map(|&a| a + bonus));
-                q.g_multi(&shifted, &mut row);
+            queues.push_span_copy((i, j), q);
+            let b = extra((i, j));
+            if b != 0 || !bonus.is_empty() {
+                // Zero-fill the bonus-free edges before the first bonus.
+                bonus.resize(queues.links.len() - 1, 0);
+                bonus.push(b);
             }
-            // Scatter the link's row into the column-major weight matrix.
-            for (kk, &g) in row.iter().enumerate() {
-                weights[kk * ne + e] = g;
+            // Close every source node before `i` (links are source-sorted).
+            while node < i {
+                add_into(&mut row_sum, &row_max);
+                row_max.fill(0.0);
+                node += 1;
             }
+            let cm = &mut col_max[j as usize * a..(j as usize + 1) * a];
+            q.fold_maxima(alphas, b, &mut row_max, cm);
         }
-        // Upper-bound piggyback: per column, one dense row/col max pass.
-        let mut ubs = Vec::with_capacity(k);
-        let mut row_max = vec![0.0f64; n];
-        let mut col_max = vec![0.0f64; n];
-        for kk in 0..k {
+        while (node as usize) < n {
+            add_into(&mut row_sum, &row_max);
             row_max.fill(0.0);
-            col_max.fill(0.0);
-            let col = &weights[kk * ne..(kk + 1) * ne];
-            for (e, &(i, j)) in edges.iter().enumerate() {
-                let g = col[e];
-                if g > row_max[i as usize] {
-                    row_max[i as usize] = g;
-                }
-                if g > col_max[j as usize] {
-                    col_max[j as usize] = g;
-                }
-            }
-            let rs: f64 = row_max.iter().sum();
-            let cs: f64 = col_max.iter().sum();
-            ubs.push(rs.min(cs));
+            node += 1;
         }
+        let mut col_sum = vec![start; a];
+        if a > 0 {
+            for cm in col_max.chunks_exact(a) {
+                add_into(&mut col_sum, cm);
+            }
+        }
+        let ubs = row_sum
+            .iter()
+            .zip(&col_sum)
+            .map(|(&rs, &cs)| rs.min(cs))
+            .collect();
         MultiAlphaEdges {
-            n: self.n,
             alphas: alphas.to_vec(),
-            edges,
-            weights,
+            queues,
+            bonus,
             ubs,
+            columns: (0..a).map(|_| OnceLock::new()).collect(),
         }
     }
 }
 
+/// `acc[k] += x[k]` for every candidate `k`.
+fn add_into(acc: &mut [f64], x: &[f64]) {
+    for (s, &v) in acc.iter_mut().zip(x) {
+        *s += v;
+    }
+}
+
 /// The result of a batched multi-α sweep over a [`LinkQueues`] snapshot: one
-/// fixed `(i, j)`-sorted edge topology shared by all candidate αs, plus one
-/// `g(i, j, α)` weight column and one matching-weight upper bound per α.
+/// fixed `(i, j)`-sorted edge topology shared by all candidate αs, one
+/// matching-weight upper bound per α, and one `g(i, j, α)` weight column per
+/// α, **built lazily**.
+///
+/// The bounds are computed by the sweep itself
+/// ([`LinkQueues::weighted_edges_multi_with`]). A column is not: the sweep
+/// keeps its own copy of every non-empty link's queue (independent of later
+/// patches to the snapshot), and [`MultiAlphaEdges::column`] derives column
+/// `k` from it on first read with [`LinkQueueRef::g`] — bit-identical to the
+/// merge walk of [`LinkQueueRef::g_multi`] — and keeps it for later readers.
+/// An α-search that prunes most candidates by their bounds therefore builds
+/// only the columns it solves (or bounds by duality), and the memory a sweep
+/// holds is `O(links + built columns × links)` rather than
+/// `links × candidates`. Columns are filled at most once, also when several
+/// search workers read the same sweep.
 ///
 /// Columns may contain non-positive weights (a link whose queue holds only
 /// zero-weight classes at some α); matching kernels consuming a column must
@@ -1420,19 +1508,20 @@ impl LinkQueues {
 /// applies the same filter for the one-shot kernels.
 #[derive(Debug, Clone)]
 pub struct MultiAlphaEdges {
-    n: u32,
     alphas: Vec<u64>,
-    edges: Vec<(u32, u32)>,
-    /// Column-major: `weights[k * edges.len() + e]` is edge `e`'s weight at
-    /// `alphas[k]`.
-    weights: Vec<f64>,
+    /// Live-only copy of the swept links' queues; its keys are the edges.
+    queues: LinkQueues,
+    /// Per-edge α bonus, empty when every bonus is zero.
+    bonus: Vec<u64>,
     ubs: Vec<f64>,
+    /// Column `k`, once some reader asked for it.
+    columns: Vec<OnceLock<Box<[f64]>>>,
 }
 
 impl MultiAlphaEdges {
     /// Fabric size the sweep was built for.
     pub fn n(&self) -> u32 {
-        self.n
+        self.queues.n
     }
 
     /// The ascending candidate αs the sweep evaluated.
@@ -1442,7 +1531,7 @@ impl MultiAlphaEdges {
 
     /// The fixed `(u, v)`-sorted edge topology (every non-empty link).
     pub fn edges(&self) -> &[(u32, u32)] {
-        &self.edges
+        &self.queues.links
     }
 
     /// The column index of candidate `alpha`.
@@ -1462,9 +1551,26 @@ impl MultiAlphaEdges {
     }
 
     /// The weight column of candidate `k` (in [`MultiAlphaEdges::edges`]
-    /// order).
+    /// order), built on the first call and shared afterwards.
     pub fn column(&self, k: usize) -> &[f64] {
-        &self.weights[k * self.edges.len()..(k + 1) * self.edges.len()]
+        self.columns[k].get_or_init(|| self.build_column(self.alphas[k]))
+    }
+
+    /// How many weight columns have been built so far.
+    pub fn built_columns(&self) -> usize {
+        self.columns.iter().filter(|c| c.get().is_some()).count()
+    }
+
+    /// One column: `g(i, j, α + bonus)` per edge, by binary search on the
+    /// copied prefix counts.
+    // lint:allow(hot-alloc) — lazy: one links-long column per candidate the search actually touches, built once and shared by every later reader
+    fn build_column(&self, alpha: u64) -> Box<[f64]> {
+        (0..self.queues.links.len())
+            .map(|e| {
+                let b = self.bonus.get(e).copied().unwrap_or(0);
+                self.queues.view_at(e).g(alpha + b)
+            })
+            .collect()
     }
 
     /// The matching-weight upper bound of candidate `k`:
@@ -1476,7 +1582,7 @@ impl MultiAlphaEdges {
     /// Candidate `k`'s edges in [`LinkQueues::weighted_edges`] form
     /// (positive-weight `(i, j, g)` triples, `(i, j)`-sorted).
     pub fn edge_list(&self, k: usize) -> Vec<(u32, u32, f64)> {
-        self.edges
+        self.edges()
             .iter()
             .zip(self.column(k))
             .filter(|&(_, &w)| w > 0.0)
@@ -1861,6 +1967,23 @@ mod tests {
         // The valid entry of the failed batch was not half-applied.
         assert_eq!(tr.subflows(), before);
         assert_eq!(tr.remaining_packets(), 200);
+    }
+
+    #[test]
+    fn admit_rejects_packet_total_overflow_without_mutating() {
+        let mut tr = RemainingTraffic::from_subflows(std::iter::empty(), HopWeighting::Uniform);
+        let route = |dst| Route::from_ids([0, dst]).unwrap();
+        tr.admit_subflows([(FlowId(1), route(1), 0, u64::MAX - 3)])
+            .unwrap();
+        let before = tr.subflows();
+        // Flow 2 alone would fit; it must not be half-applied either.
+        let err = tr
+            .admit_subflows([(FlowId(2), route(2), 0, 2), (FlowId(3), route(1), 0, 5)])
+            .unwrap_err();
+        assert_eq!(err, SchedError::PacketCountOverflow { flow: FlowId(3) });
+        assert_eq!(tr.subflows(), before);
+        assert_eq!(tr.remaining_packets(), u64::MAX - 3);
+        assert_eq!(tr.interned_links(), 1);
     }
 
     #[test]

@@ -42,6 +42,18 @@
 //! return bit-identical schedules. Every solve therefore re-initializes
 //! `φ_l(u) = max(0, max_v w(u, v))`, `φ_r = 0` — an `O(V)` fill, not an
 //! allocation — making the result a pure function of `(topology, weights)`.
+//!
+//! ## What a solve's duals may be used for
+//!
+//! A finished solve's right-side prices ([`AssignmentSolver::right_duals`])
+//! may **bound** another column of the same topology: for any `z ≥ 0`,
+//! re-deriving `y_u = max_v (w(u, v) − z_v)⁺` from that column's weights
+//! makes `(y, z)` dual-feasible, so `Σ_u y_u + Σ_v z_v` is at least every
+//! matching weight of the column (weak duality). The α-search uses exactly
+//! this to skip candidates whose bound falls below the incumbent — which
+//! changes how many solves run, never what any solve returns. The duals
+//! must **never seed a solve**: that is the warm start the section above
+//! rules out.
 
 use crate::WeightedBipartiteGraph;
 use std::cmp::Reverse;

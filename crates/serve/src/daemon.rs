@@ -146,18 +146,26 @@ impl ServeState {
     /// patches the cached snapshot on the dirty links.
     ///
     /// # Errors
-    /// Route construction/validation errors, or
-    /// [`SchedError::PositionBeyondRoute`] from admission (not reachable
-    /// here: arrivals enter at position 0 of a validated route).
+    /// Route construction/validation errors,
+    /// [`SchedError::PacketCountOverflow`] when `size` would overflow the
+    /// lifetime admitted count or the backlog (the arrival is rejected and
+    /// nothing changes), or [`SchedError::PositionBeyondRoute`] from
+    /// admission (not reachable here: arrivals enter at position 0 of a
+    /// validated route).
     pub fn admit(&mut self, id: u64, route_ids: &[u32], size: u64) -> Result<u64, SchedError> {
         let route = Route::from_ids(route_ids.iter().copied())?;
         self.net.validate_route(route.nodes())?;
+        let admitted = self
+            .stats
+            .admitted_packets
+            .checked_add(size)
+            .ok_or(SchedError::PacketCountOverflow { flow: FlowId(id) })?;
         let dirty = self
             .engine
             .source_mut()
             .admit_subflows([(FlowId(id), route, 0, size)])?;
         self.engine.patch_links(&dirty);
-        self.stats.admitted_packets += size;
+        self.stats.admitted_packets = admitted;
         Ok(self.backlog())
     }
 

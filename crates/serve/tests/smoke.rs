@@ -312,3 +312,31 @@ fn cache_replays_identical_windows_and_invalidates_on_interning() {
         other => panic!("expected stats, got {other:?}"),
     }
 }
+
+#[test]
+fn packet_counter_overflow_is_rejected_and_leaves_the_backlog() {
+    let mut state = new_state(PolicyMode::Hysteresis);
+    let script = concat!(
+        r#"{"Arrival":{"id":1,"route":[0,1],"size":18446744073709551615}}"#,
+        "\n",
+        r#"{"Arrival":{"id":2,"route":[2,3],"size":5}}"#,
+        "\n",
+    );
+    let responses = run_script(&mut state, script);
+    assert_eq!(
+        responses[0],
+        Response::Admitted {
+            id: 1,
+            backlog: u64::MAX
+        }
+    );
+    let Response::Error { message } = &responses[1] else {
+        panic!("expected Error, got {:?}", responses[1]);
+    };
+    assert!(message.contains("overflow"), "{message}");
+    // Nothing of the rejected arrival was admitted or counted.
+    assert_eq!(state.backlog(), u64::MAX);
+    let stats = state.stats();
+    assert_eq!(stats.admitted_packets, u64::MAX);
+    assert_eq!(stats.interned_links, 1);
+}
